@@ -22,6 +22,16 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 echo "==> Engine + point + service + distributed benchmark smoke (gated vs BENCH_history.json rolling median)"
 REPRO_BENCH_GATE=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -k "engine or point or service or distributed" --benchmark-disable-gc
 
+echo "==> perfbench answer check (activity_sweep, structure_sweep; last line must read \"correct\": true)"
+for workload in activity_sweep structure_sweep; do
+    last=$(python3 perfbench/run.py --workload "$workload" --seconds 2 | tail -n 1)
+    echo "$workload: $last"
+    if ! echo "$last" | grep -q '"correct": true'; then
+        echo "perfbench $workload did not answer correctly" >&2
+        exit 1
+    fi
+done
+
 echo "==> BENCH_engine.json"
 cat BENCH_engine.json
 

@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     base = paper_experiment()
     if args.warm:
         compare_schemes(base)
-    # Distinct activity scalars: fresh points, never analysis-memo replays.
+    # Distinct activity scalars, as a sweep over activity would send them.
     configs = [base.with_overrides(static_probability=0.05 + 0.9 * i / max(1, args.points))
                for i in range(args.points)]
 

@@ -23,7 +23,6 @@ paper-versus-measured record of every table and figure.
 
 from .core.comparison import SchemeComparison, compare_schemes
 from .core.config import ExperimentConfig, paper_experiment
-from .core.design_space import sweep_parameter
 from .core.paths import describe_path, get_path, set_path, sweepable_paths
 from .core.scheme_evaluator import SchemeEvaluator, SchemeResult
 from .engine import DesignSpace, EvaluationCache, Evaluator, ResultSet
@@ -74,6 +73,5 @@ __all__ = [
     "get_path",
     "paper_experiment",
     "set_path",
-    "sweep_parameter",
     "sweepable_paths",
 ]

@@ -14,9 +14,10 @@ depend on the activity scalars (``static_probability``,
 libraries keyed by their technology point and built schemes keyed by
 (library, crossbar config, scheme name), so a design-space sweep that
 varies only non-structural scalars builds each scheme's geometry once
-instead of once per point.  Schemes are analytically pure (every
-activity-dependent method takes the scalars as arguments), which is what
-makes the sharing sound.
+instead of once per point.  Schemes are analytically pure: each one
+computes its activity coefficients once, on first use, and every
+activity-dependent method evaluates them at the scalars it is given,
+which is what makes the sharing sound.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ class SchemeEvaluator:
 
     The technology library and built schemes come from the process-wide
     structural cache (the library object is shared by every scheme, so
-    identity matters for comparisons); activity-dependent analysis runs
-    per call.  Pass ``library`` explicitly to bypass the cache, e.g. for
+    identity matters for comparisons); activity-dependent figures are
+    evaluated per call from each scheme's activity coefficients.  Pass ``library`` explicitly to bypass the cache, e.g. for
     a hand-modified library.
     """
 

@@ -103,7 +103,11 @@ class CrossbarScheme:
     """Base class: one crossbar design analysed at one technology point.
 
     Subclasses provide ``name``, ``features`` and ``vt_plan`` (and their
-    design rationale); everything else is computed here.
+    design rationale); everything else is computed here.  A scheme is
+    structurally immutable after construction, so structure-only results
+    and the coefficients of every activity-dependent figure are computed
+    once, on first use; each call then evaluates a closed form in the
+    activity scalars it is given.
     """
 
     #: Short scheme name as used in Table 1 (overridden by subclasses).
@@ -124,23 +128,6 @@ class CrossbarScheme:
         self.features = features
         self.vt_plan = vt_plan
         self._build_components()
-        # Scheme instances are structurally immutable after construction
-        # and shared through the structural cache, so every analysis
-        # method is pure in its scalar arguments — memoise the hot
-        # entry points per (method, scalars).  Bounded: a sweep over
-        # many distinct scalars clears rather than grows.
-        self._analysis_memo: dict[tuple, object] = {}
-
-    def _memoised(self, key: tuple, compute):
-        """Per-scheme memo for pure analysis results keyed on scalars."""
-        memo = self._analysis_memo
-        cached = memo.get(key)
-        if cached is None:
-            cached = compute()
-            if len(memo) >= 256:
-                memo.clear()
-            memo[key] = cached
-        return cached
 
     # ------------------------------------------------------------------ #
     # construction                                                        #
@@ -416,11 +403,15 @@ class CrossbarScheme:
 
     def delay_report(self) -> DelayReport:
         """Worst-case delays of this scheme (Table 1 delay rows)."""
-        return self._memoised(("delay_report",), lambda: DelayReport(
+        return self._delay_report
+
+    @cached_property
+    def _delay_report(self) -> DelayReport:
+        return DelayReport(
             scheme=self.name,
             high_to_low=self.high_to_low_path().delay(),
             low_to_high=self.low_to_high_path().delay(),
-        ))
+        )
 
     # ------------------------------------------------------------------ #
     # leakage                                                              #
@@ -431,26 +422,30 @@ class CrossbarScheme:
 
     def _add_pass_bank_leakage(
         self,
-        acc: LeakageAccumulator,
+        bank: list[float],
         switch: PassTransistorSwitch,
         count_off: int,
         node_voltage: float,
-        probability_input_high: float,
     ) -> None:
-        """Accumulate the expected leakage of ``count_off`` off pass devices.
+        """Add ``count_off`` off pass devices to ``bank``, split by parked input.
 
-        Each of the two unique bias points (input parked high / parked
-        low) is evaluated once — a kernel memo hit after the first call
-        — and multiplied by its expected population, instead of being
-        re-derived per port or per row.
+        ``bank`` holds the (subthreshold, gate, junction) sums with the
+        input parked high, then the same with it parked low.  The pass
+        bank is the only leakage that depends on the input values, so
+        these six floats are all the expectation over inputs needs.  Each
+        of the two bias points is one kernel lookup, multiplied by its
+        population instead of being re-derived per port or per row.
         """
         if count_off <= 0:
             return
-        vdd = self.supply_voltage
-        acc.add(switch.leakage(False, vdd, node_voltage),
-                probability_input_high * count_off)
-        acc.add(switch.leakage(False, 0.0, node_voltage),
-                (1.0 - probability_input_high) * count_off)
+        high = switch.leakage(False, self.supply_voltage, node_voltage)
+        low = switch.leakage(False, 0.0, node_voltage)
+        bank[0] += high.subthreshold * count_off
+        bank[1] += high.gate * count_off
+        bank[2] += high.junction * count_off
+        bank[3] += low.subthreshold * count_off
+        bank[4] += low.gate * count_off
+        bank[5] += low.junction * count_off
 
     def _add_merge_support_leakage(self, acc: LeakageAccumulator,
                                    merge_high: bool, standby: bool) -> None:
@@ -484,24 +479,20 @@ class CrossbarScheme:
         if self.segment_switch is not None:
             acc.add(self.segment_switch.leakage(connected, far_voltage, near_voltage))
 
-    def _path_leakage_unsegmented(self, merge_high: bool, probability_input_high: float,
-                                  granted: bool) -> LeakageBreakdown:
+    def _path_terms_unsegmented(self, merge_high: bool, granted: bool) -> tuple[float, ...]:
         """One output-bit path, non-segmented schemes."""
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
+        node_voltage = self.supply_voltage if merge_high else 0.0
         acc = LeakageAccumulator()
         acc.add(self._driver_chain_leakage(merge_high))
         self._add_merge_support_leakage(acc, merge_high, standby=False)
-        off_count = self.config.inputs_per_output - (1 if granted else 0)
-        self._add_pass_bank_leakage(
-            acc, self.pass_switch, off_count, node_voltage, probability_input_high
-        )
         if granted:
             acc.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
-        return acc.freeze()
+        bank = [0.0] * 6
+        off_count = self.config.inputs_per_output - (1 if granted else 0)
+        self._add_pass_bank_leakage(bank, self.pass_switch, off_count, node_voltage)
+        return (acc.subthreshold, acc.gate, acc.junction, *bank)
 
-    def _path_leakage_segmented(self, merge_high: bool, probability_input_high: float,
-                                granted: bool) -> LeakageBreakdown:
+    def _path_terms_segmented(self, merge_high: bool, granted: bool) -> tuple[float, ...]:
         """One output-bit path, segmented schemes (SDFC / SDPC).
 
         Conditioned on where the granted input sits: with probability
@@ -511,27 +502,24 @@ class CrossbarScheme:
         otherwise both segments are live and joined by the segment
         switch.
         """
-        vdd = self.supply_voltage
-        node_voltage = vdd if merge_high else 0.0
-        plan = self.segmentation_plan
-        near_fraction = plan.near_traffic_fraction if granted else 1.0
+        node_voltage = self.supply_voltage if merge_high else 0.0
+        near_fraction = self.segmentation_plan.near_traffic_fraction if granted else 1.0
 
         # Case 1: transfer (or idle value) confined to the near segment.
         far_sleeps = self.features.far_segment_sleeps_when_unused
         far_voltage_case1 = 0.0 if far_sleeps else node_voltage
         case1 = LeakageAccumulator()
+        bank1 = [0.0] * 6
         case1.add(self._driver_chain_leakage(merge_high))
         self._add_merge_support_leakage(case1, merge_high, standby=False)
         self._add_pass_bank_leakage(
-            case1, self.near_pass_switch, self._near_inputs() - (1 if granted else 0),
-            node_voltage, probability_input_high,
+            bank1, self.near_pass_switch, self._near_inputs() - (1 if granted else 0),
+            node_voltage,
         )
         if granted:
             case1.add(self.near_pass_switch.leakage(True, node_voltage, node_voltage))
-        self._add_pass_bank_leakage(
-            case1, self.pass_switch, self._far_inputs(), far_voltage_case1,
-            probability_input_high,
-        )
+        self._add_pass_bank_leakage(bank1, self.pass_switch, self._far_inputs(),
+                                    far_voltage_case1)
         self._add_far_support_leakage(
             case1, far_high=far_voltage_case1 > 0, far_standby=far_sleeps
         )
@@ -539,39 +527,64 @@ class CrossbarScheme:
 
         # Case 2: transfer comes from the far segment; both segments live.
         case2 = LeakageAccumulator()
+        bank2 = [0.0] * 6
         case2.add(self._driver_chain_leakage(merge_high))
         self._add_merge_support_leakage(case2, merge_high, standby=False)
-        self._add_pass_bank_leakage(
-            case2, self.near_pass_switch, self._near_inputs(), node_voltage,
-            probability_input_high,
-        )
+        self._add_pass_bank_leakage(bank2, self.near_pass_switch, self._near_inputs(),
+                                    node_voltage)
         far_off = self._far_inputs() - (1 if granted else 0)
-        self._add_pass_bank_leakage(
-            case2, self.pass_switch, far_off, node_voltage, probability_input_high
-        )
+        self._add_pass_bank_leakage(bank2, self.pass_switch, far_off, node_voltage)
         if granted:
             case2.add(self.pass_switch.leakage(True, node_voltage, node_voltage))
         self._add_far_support_leakage(case2, far_high=merge_high, far_standby=False)
         self._add_segment_switch_leakage(case2, True, node_voltage, node_voltage)
 
-        return (LeakageAccumulator()
-                .add(case1.freeze(), near_fraction)
-                .add(case2.freeze(), 1.0 - near_fraction)
-                .freeze())
+        far_fraction = 1.0 - near_fraction
+        return tuple(
+            near_fraction * one + far_fraction * two
+            for one, two in zip((case1.subthreshold, case1.gate, case1.junction, *bank1),
+                                (case2.subthreshold, case2.gate, case2.junction, *bank2))
+        )
 
-    def _path_leakage(self, merge_high: bool, probability_input_high: float,
-                      granted: bool) -> LeakageBreakdown:
-        """One output-bit path in active (or idle-awake) mode."""
-        if self.features.segmented:
-            return self._path_leakage_segmented(merge_high, probability_input_high, granted)
-        return self._path_leakage_unsegmented(merge_high, probability_input_high, granted)
+    @cached_property
+    def _leakage_coefficients(self) -> dict[bool, tuple[tuple[float, ...], ...]]:
+        """Per-mechanism coefficients of the crossbar's expected leakage.
 
-    def _expected_path_leakage(self, probability_high: float, probability_input_high: float,
-                               granted: bool) -> LeakageBreakdown:
-        """Average one-path leakage over the merge-node value distribution."""
-        high = self._path_leakage(True, probability_input_high, granted)
-        low = self._path_leakage(False, probability_input_high, granted)
-        return high.scaled(probability_high) + low.scaled(1.0 - probability_high)
+        Keyed by the granted flag: True for active, False for idle.  A
+        path walk returns nine floats: the (subthreshold, gate, junction)
+        leakage of every device whose bias does not depend on the
+        inputs, then that of the off pass bank with its inputs parked
+        high, then parked low.  The merge node sits high with
+        probability p, and so does every parked input.  With q = 1 - p
+        one mechanism then leaks
+        ``p * (Hc + p * Ha + q * Hb) + q * (Lc + p * La + q * Lb)``, an
+        exact quadratic in p.  Each tuple is (Hc, Ha, Hb, Lc, La, Lb)
+        for one mechanism, times the output path count.  All six are
+        non-negative, so evaluating in this basis cancels nothing and
+        never rounds a leakage below zero.
+        """
+        walk = (self._path_terms_segmented if self.features.segmented
+                else self._path_terms_unsegmented)
+        paths = self.output_path_count
+        coefficients = {}
+        for granted in (True, False):
+            high, low = walk(True, granted), walk(False, granted)
+            coefficients[granted] = tuple(
+                (high[m] * paths, high[m + 3] * paths, high[m + 6] * paths,
+                 low[m] * paths, low[m + 3] * paths, low[m + 6] * paths)
+                for m in range(3)
+            )
+        return coefficients
+
+    @staticmethod
+    def _leakage_at(coefficients: tuple[tuple[float, ...], ...],
+                    probability: float) -> LeakageBreakdown:
+        """Evaluate one set of :attr:`_leakage_coefficients` at probability p."""
+        p, q = probability, 1.0 - probability
+        return LeakageBreakdown(*[
+            p * (hc + p * ha + q * hb) + q * (lc + p * la + q * lb)
+            for hc, ha, hb, lc, la, lb in coefficients
+        ])
 
     def active_leakage(self, static_probability: float = 0.5) -> LeakageBreakdown:
         """Total crossbar leakage while transferring flits (Table 1 "active").
@@ -583,14 +596,7 @@ class CrossbarScheme:
         matches the paper's crossbar-only scope.
         """
         self._check_probability(static_probability)
-        return self._memoised(
-            ("active_leakage", static_probability),
-            lambda: self._expected_path_leakage(
-                probability_high=static_probability,
-                probability_input_high=static_probability,
-                granted=True,
-            ).scaled(self.output_path_count),
-        )
+        return self._leakage_at(self._leakage_coefficients[True], static_probability)
 
     def idle_leakage(self, static_probability: float = 0.5) -> LeakageBreakdown:
         """Crossbar leakage when idle but *not* in standby.
@@ -602,14 +608,7 @@ class CrossbarScheme:
         also parks at the last data value.
         """
         self._check_probability(static_probability)
-        return self._memoised(
-            ("idle_leakage", static_probability),
-            lambda: self._expected_path_leakage(
-                probability_high=static_probability,
-                probability_input_high=static_probability,
-                granted=False,
-            ).scaled(self.output_path_count),
-        )
+        return self._leakage_at(self._leakage_coefficients[False], static_probability)
 
     def standby_leakage(self) -> LeakageBreakdown:
         """Crossbar leakage in standby (sleep asserted, Table 1 "standby").
@@ -619,17 +618,16 @@ class CrossbarScheme:
         pre-charge clock is gated off.  Schemes without a sleep mode
         simply report their idle leakage.
         """
+        return self._standby_leakage
+
+    @cached_property
+    def _standby_leakage(self) -> LeakageBreakdown:
         if not self.features.has_sleep:
             return self.idle_leakage()
-        return self._memoised(("standby_leakage",), self._compute_standby_leakage)
-
-    def _compute_standby_leakage(self) -> LeakageBreakdown:
-        """The uncached standby evaluation behind :meth:`standby_leakage`."""
         acc = LeakageAccumulator()
         acc.add(self._driver_chain_leakage(merge_high=False))
         self._add_merge_support_leakage(acc, merge_high=False, standby=True)
         # Off pass devices with all terminals at ground contribute nothing.
-        self._add_pass_bank_leakage(acc, self.pass_switch, 0, 0.0, 0.0)
         if self.features.segmented:
             self._add_far_support_leakage(acc, far_high=False, far_standby=True)
             self._add_segment_switch_leakage(acc, False, 0.0, 0.0)
@@ -707,62 +705,59 @@ class CrossbarScheme:
         """
         self._check_probability(static_probability)
         self._check_probability(toggle_activity)
-        return self._memoised(
-            ("dynamic_energy_per_cycle", toggle_activity, static_probability),
-            lambda: self._compute_dynamic_energy_per_cycle(
-                toggle_activity, static_probability),
-        )
+        constant, per_toggle, per_probability = self._dynamic_energy_coefficients
+        return constant + toggle_activity * per_toggle + static_probability * per_probability
 
-    def _compute_dynamic_energy_per_cycle(self, toggle_activity: float,
-                                          static_probability: float) -> float:
-        """The uncached evaluation behind :meth:`dynamic_energy_per_cycle`."""
+    @cached_property
+    def _dynamic_energy_coefficients(self) -> tuple[float, float, float]:
+        """Constant, per-toggle and per-static-probability terms (joules).
+
+        The switching energy per cycle is affine in both activity
+        scalars; :meth:`dynamic_energy_per_cycle` evaluates it.
+        """
         vdd = self.supply_voltage
-        rising_probability = toggle_activity / 2.0
-
-        per_output_bit = 0.0
+        paths = self.output_path_count
         if self.features.has_precharge:
             # Every evaluated 0 discharges the pre-charged path and must be
             # restored: the pre-charged capacitance cycles with probability
-            # P(data == 0) regardless of the previous value.
-            probability_zero = 1.0 - static_probability
-            precharged_capacitance = (
+            # P(data == 0) = 1 - p regardless of the previous value.
+            precharged = paths * switching_energy(
                 self._switched_merge_device_capacitance()
                 + self._row_switched_capacitance()
                 + self.output_wire.capacitance
-                + self.output_node_capacitance()
-            )
-            per_output_bit += probability_zero * switching_energy(precharged_capacitance, vdd)
-            # The driver internal node still toggles with the data.
-            per_output_bit += rising_probability * switching_energy(
-                self.internal_node_capacitance(), vdd
+                + self.output_node_capacitance(),
+                vdd,
             )
             # The pre-charge control gate is clocked every cycle.
-            per_output_bit += switching_energy(self.precharge.control_capacitance(), vdd)
-        else:
-            per_output_bit += rising_probability * switching_energy(
-                self.data_path_capacitance(), vdd
+            constant = precharged + paths * switching_energy(
+                self.precharge.control_capacitance(), vdd
             )
+            per_probability = -precharged
+            # The driver internal node still toggles with the data; it
+            # rises on half of the toggles.
+            per_toggle = paths * switching_energy(self.internal_node_capacitance(), vdd) / 2.0
+        else:
+            constant = per_probability = 0.0
+            per_toggle = paths * switching_energy(self.data_path_capacitance(), vdd) / 2.0
             # Falling merge transitions fight the keeper.
             if self.keeper is not None:
-                per_output_bit += (toggle_activity / 2.0) * contention_energy(
+                per_toggle += paths * contention_energy(
                     self.keeper.opposing_current(), self._merge_fall_delay(), vdd
-                )
+                ) / 2.0
 
-        per_input_bit = rising_probability * switching_energy(self.input_wire.capacitance, vdd)
+        per_toggle += self.input_wire_count * switching_energy(
+            self.input_wire.capacitance, vdd
+        ) / 2.0
 
         # Grant lines: one grant wire per (input, output) pair, loaded by the
         # pass-transistor gates of every bit of the flit; a new grant is
         # established on a fraction of cycles (head flits).
         grant_switch_probability = 0.2
         grant_load = self.config.flit_width * self.pass_switch.grant_capacitance()
-        per_output_grant = grant_switch_probability * switching_energy(grant_load, vdd)
-
-        total = (
-            per_output_bit * self.output_path_count
-            + per_input_bit * self.input_wire_count
-            + per_output_grant * self.config.output_count
+        constant += self.config.output_count * grant_switch_probability * switching_energy(
+            grant_load, vdd
         )
-        return total
+        return constant, per_toggle, per_probability
 
     def dynamic_power(self, toggle_activity: float = 0.5, static_probability: float = 0.5,
                       frequency: float | None = None) -> float:
@@ -791,26 +786,27 @@ class CrossbarScheme:
         if not self.features.has_sleep:
             return 0.0
         self._check_probability(static_probability)
-        return self._memoised(
-            ("sleep_transition_energy", static_probability),
-            lambda: self._compute_sleep_transition_energy(static_probability),
-        )
+        fixed, per_probability = self._sleep_transition_coefficients
+        return fixed + static_probability * per_probability
 
-    def _compute_sleep_transition_energy(self, static_probability: float) -> float:
-        """The uncached evaluation behind :meth:`sleep_transition_energy`."""
+    @cached_property
+    def _sleep_transition_coefficients(self) -> tuple[float, float]:
+        """Fixed and per-static-probability terms of one entry + exit (joules)."""
         vdd = self.supply_voltage
+        paths = self.output_path_count
         segments = 2 if self.features.segmented else 1
-        per_path = segments * switching_energy(self.sleep.control_capacitance(), vdd)
-        parked_high_probability = static_probability
+        fixed = segments * switching_energy(self.sleep.control_capacitance(), vdd)
         merge_capacitance = (
             self.merge_capacitance()
             + (self.row_wire.capacitance if not self.features.segmented
                else self.segmented_row.total_capacitance)
         )
-        per_path += parked_high_probability * switching_energy(merge_capacitance, vdd)
-        # The driver internal node flips when the merge node is forced low.
-        per_path += parked_high_probability * switching_energy(self.internal_node_capacitance(), vdd)
-        return per_path * self.output_path_count
+        # A merge wire parked high (probability p) is re-charged after the
+        # sleep device discharged it, and the driver internal node flips
+        # when the merge node is forced low.
+        per_probability = (switching_energy(merge_capacitance, vdd)
+                           + switching_energy(self.internal_node_capacitance(), vdd))
+        return fixed * paths, per_probability * paths
 
     def standby_power_saving(self, static_probability: float = 0.5) -> float:
         """Leakage power saved per second of standby, relative to idling awake (watts)."""

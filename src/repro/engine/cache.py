@@ -17,8 +17,7 @@ location, size and last-use sequence number.  Keys that are not
 filesystem-safe content hashes (anything beyond lowercase hex — in
 particular keys containing path separators) are stored under the SHA-256
 of the key instead of the key itself, so a hostile or merely unusual key
-can never escape the cache directory.  The flat one-file-per-key layout
-written by earlier versions is migrated into the shards on first open.
+can never escape the cache directory.
 
 When ``max_disk_entries`` and/or ``max_disk_bytes`` is set, an LRU
 eviction pass runs after each write: the entry-count bound caps how many
@@ -182,10 +181,6 @@ def _shard_and_name(key: str) -> tuple[str, str]:
     return digest[:2], digest
 
 
-#: File stems that are safe to look up in the legacy flat layout.
-_LEGACY_SAFE = re.compile(r"[A-Za-z0-9_-]{1,200}")
-
-
 @dataclass
 class EvaluationCache:
     """In-memory, optionally disk-backed store of evaluated points.
@@ -240,12 +235,10 @@ class EvaluationCache:
         self._index_dirty = False
         self._puts_since_index_write = 0
         self._journal_pending: list[dict] = []
-        self._legacy_possible = False
         if self.directory is not None:
             self.directory = Path(self.directory)
             self.directory.mkdir(parents=True, exist_ok=True)
             self._load_index()
-            self._migrate_flat_layout()
 
     def __len__(self) -> int:
         """Number of entries in the in-memory layer."""
@@ -262,13 +255,6 @@ class EvaluationCache:
         assert self.directory is not None
         shard, name = _shard_and_name(key)
         return self.directory / shard / f"{name}.json"
-
-    def _legacy_path(self, key: str) -> Path | None:
-        """Pre-shard flat location, only for keys that cannot traverse."""
-        assert self.directory is not None
-        if not _LEGACY_SAFE.fullmatch(key):
-            return None
-        return self.directory / f"{key}.json"
 
     @staticmethod
     def _sane_index_file(name: str) -> bool:
@@ -408,29 +394,6 @@ class EvaluationCache:
         if self.directory is not None and self._index_dirty:
             self._persist_index()
 
-    def _migrate_flat_layout(self) -> None:
-        """Move flat ``<key>.json`` files written by the PR-1 layout into
-        their shard directories, indexing them as they go."""
-        assert self.directory is not None
-        moved = False
-        for flat in self.directory.glob("*.json"):
-            if flat.name == INDEX_FILENAME or not flat.is_file():
-                continue
-            key = flat.stem
-            target = self._disk_path(key)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(flat, target)
-            except OSError:
-                # Couldn't move it: lookups must keep probing flat paths.
-                self._legacy_possible = True
-                continue
-            self._remember_entry(key, target)
-            moved = True
-        if moved:
-            self._index_dirty = True
-            self._persist_index()
-
     def _remember_entry(self, key: str, path: Path) -> None:
         assert self.directory is not None
         self._sequence += 1
@@ -491,7 +454,7 @@ class EvaluationCache:
             return entry
         if self.directory is not None:
             for path in self._candidate_paths(key):
-                if path is None or not path.is_file():
+                if not path.is_file():
                     continue
                 records = self._read_records(path, key)
                 if records is None:
@@ -523,10 +486,6 @@ class EvaluationCache:
         if meta is not None and self._sane_index_file(meta["file"]):
             yield self.directory / meta["file"]
         yield self._disk_path(key)
-        if self._legacy_possible:
-            # Only when migration left flat files behind — otherwise this
-            # would be a wasted stat() on every miss of a big sweep.
-            yield self._legacy_path(key)
 
     def put(self, key: str, entry: CachedEntry) -> None:
         """Store one evaluated point (records go to disk when enabled)."""

@@ -547,10 +547,13 @@ class DistributedExecutor:
         except (OSError, DistributedError):
             self._forget_worker(handle)
             return
-        handle.thread = threading.Thread(
+        # Publish only a started thread: close() joins handle.thread, and
+        # joining a thread that has not started raises RuntimeError.
+        thread = threading.Thread(
             target=self._worker_loop, args=(handle,),
             name=f"repro-dist-{worker_id}", daemon=True)
-        handle.thread.start()
+        thread.start()
+        handle.thread = thread
 
     def _alive_count(self) -> int:
         return sum(1 for handle in self._workers.values() if handle.alive)

@@ -3,8 +3,7 @@
 Four strategies share one interface:
 
 * ``serial`` — evaluate in-process, in order.  Keeps the live
-  :class:`~repro.core.comparison.SchemeComparison` objects, which the
-  legacy ``sweep_parameter`` wrapper needs.
+  :class:`~repro.core.comparison.SchemeComparison` objects.
 * ``process`` — fan out across cores with
   :class:`concurrent.futures.ProcessPoolExecutor`.  Work items travel as
   pickled frozen configs; results come back as the JSON-safe comparison

@@ -150,7 +150,7 @@ class DesignSpace:
 
     @classmethod
     def single_sweep(cls, parameter: str, values: Sequence[object]) -> "DesignSpace":
-        """One-axis grid — the legacy ``sweep_parameter`` shape."""
+        """One-axis grid over ``parameter``."""
         return cls.grid({parameter: values})
 
     def __len__(self) -> int:

@@ -452,10 +452,38 @@ class EvaluationService:
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
 
-    def _evaluate_and_persist(
-            self, batch: list[_PendingPoint]) -> tuple[list[CachedEntry], int]:
+    def _run_batch(self, work: list[WorkItem]) -> list:
+        """Executor outcomes for ``work`` in order: a result or a ReproError.
+
+        One rejected point must not fail the valid points batched with
+        it, so a model error from a multi-point batch re-runs each point
+        alone and every point gets its own result or its own error.  A
+        :class:`~repro.errors.DistributedError` is about the fleet, not
+        a point, and still fails the whole batch.
+        """
+        try:
+            outcomes = list(self.executor.run(work))
+        except DistributedError:
+            raise
+        except ReproError as exc:
+            if len(work) == 1:
+                return [exc]
+            return [self._run_batch([item])[0] for item in work]
+        if len(outcomes) != len(work):
+            # A pluggable executor violating the run(items) contract must
+            # fail the batch loudly — a silent short zip would strand the
+            # tail's futures forever.  RuntimeError, not a ReproError:
+            # this is a server fault, reported to HTTP clients as a 500.
+            raise RuntimeError(
+                f"executor {getattr(self.executor, 'name', self.executor)!r} "
+                f"returned {len(outcomes)} results for {len(work)} items"
+            )
+        return outcomes
+
+    def _evaluate_and_persist(self, batch: list[_PendingPoint]) -> tuple[list, int]:
         """Worker-thread half of a flush: evaluate the batch and write it
-        to the cache, returning the entries and the write-failure count.
+        to the cache, returning per-point entries (or the point's own
+        :class:`~repro.errors.ReproError`) and the write-failure count.
 
         Runs off the event loop so neither the evaluation nor the disk
         persistence (per-entry writes plus the index flush — possibly on
@@ -470,31 +498,24 @@ class EvaluationService:
         work = [WorkItem(config=point.config, scheme_names=self.scheme_names,
                          baseline_name=self.baseline_name)
                 for point in batch]
-        outcomes = list(self.executor.run(work))
-        if len(outcomes) != len(batch):
-            # A pluggable executor violating the run(items) contract must
-            # fail the batch loudly — a silent short zip would strand the
-            # tail's futures forever.  RuntimeError, not a ReproError:
-            # this is a server fault, reported to HTTP clients as a 500.
-            raise RuntimeError(
-                f"executor {getattr(self.executor, 'name', self.executor)!r} "
-                f"returned {len(outcomes)} results for {len(batch)} items"
-            )
-        entries = []
+        results = []
         write_failures = 0
-        for point, outcome in zip(batch, outcomes):
+        for point, outcome in zip(batch, self._run_batch(work)):
+            if isinstance(outcome, ReproError):
+                results.append(outcome)
+                continue
             entry = CachedEntry(records=outcome.records,
                                 comparison=outcome.comparison)
             try:
                 self.cache.put(point.key, entry)
             except Exception:
                 write_failures += 1
-            entries.append(entry)
+            results.append(entry)
         try:
             self.cache.flush_index()
         except OSError:
             write_failures += 1
-        return entries, write_failures
+        return results, write_failures
 
     async def _flush(self) -> None:
         """Run the pending batch through the executor and settle futures.
@@ -515,7 +536,7 @@ class EvaluationService:
             self._cancel_flush_timer()
             loop = asyncio.get_running_loop()
             try:
-                entries, write_failures = await loop.run_in_executor(
+                results, write_failures = await loop.run_in_executor(
                     None, self._evaluate_and_persist, batch)
             except Exception as exc:
                 for point in batch:
@@ -524,12 +545,17 @@ class EvaluationService:
                         point.future.set_exception(exc)
                 return
             self.stats.cache_write_failures += write_failures
-            for point, entry in zip(batch, entries):
+            for point, result in zip(batch, results):
                 self._in_flight.pop(point.key, None)
-                if not point.future.done():
-                    point.future.set_result(entry)
+                if point.future.done():
+                    continue
+                if isinstance(result, ReproError):
+                    point.future.set_exception(result)
+                else:
+                    point.future.set_result(result)
             self.stats.batches += 1
-            self.stats.evaluated += len(batch)
+            self.stats.evaluated += sum(not isinstance(result, ReproError)
+                                        for result in results)
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
 
     async def stop(self) -> None:

@@ -217,23 +217,57 @@ class TestDistributedRuns:
         assert len(again) == 1
 
     def test_worker_death_redispatches_items(self):
-        executor = DistributedExecutor(min_workers=2).start()
-        mortal = spawn_worker(executor.port, "--worker-id", "mortal",
-                              "--max-items", "1")
-        survivor = spawn_worker(executor.port, "--worker-id", "survivor")
+        """A worker that dies holding an item loses no work: the item is
+        re-dispatched to a survivor and the results match serial."""
+        import time
+
+        executor = DistributedExecutor(min_workers=1).start()
+        # A fake worker that takes one item and dies before answering it.
+        # It is the only worker when the run starts, so it gets an item
+        # whatever the evaluation speed.
+        doomed = socket.create_connection(executor.address, timeout=10.0)
+        send_frame(doomed, {"type": "register", "protocol": PROTOCOL_VERSION,
+                            "worker": "doomed", "model_version": repro.__version__})
+        assert recv_frame(doomed)["type"] == "registered"
+        items = items_for((0.1, 0.3, 0.5, 0.7, 0.9, 0.2))
+        outcome: dict[str, object] = {}
+
+        def run():
+            try:
+                outcome["results"] = executor.run(items)
+            except DistributedError as exc:
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=run)
+        survivor = None
         try:
-            items = items_for((0.1, 0.3, 0.5, 0.7, 0.9, 0.2))
-            results = executor.run(items)
-            assert len(results) == 6
+            runner.start()
+            message = recv_frame(doomed)
+            while message["type"] == "ping":
+                send_frame(doomed, {"type": "pong"})
+                message = recv_frame(doomed)
+            assert message["type"] == "evaluate"
+            survivor = spawn_worker(executor.port, "--worker-id", "survivor")
+            deadline = time.monotonic() + 20.0
+            while (executor.stats.workers_registered < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert executor.stats.workers_registered == 2
+            doomed.close()  # dies mid-item
+            runner.join(timeout=30)
+            assert not runner.is_alive()
+            assert "error" not in outcome, outcome.get("error")
+            results = outcome["results"]
             serial = SerialExecutor().run(items)
             assert [p.records for p in results] == [p.records for p in serial]
-            # The mortal worker died after one item; at least one item
-            # must have been re-dispatched to the survivor.
-            assert executor.stats.workers_lost >= 1
+            assert executor.stats.workers_lost == 1
+            assert executor.stats.redispatched >= 1
         finally:
+            doomed.close()
             executor.close()
-            mortal.wait(timeout=10)
-            survivor.wait(timeout=10)
+            runner.join(timeout=15)
+            if survivor is not None:
+                survivor.wait(timeout=10)
 
     def test_all_workers_lost_fails_the_run(self):
         executor = DistributedExecutor(min_workers=1,
@@ -424,6 +458,43 @@ def test_close_during_run_fails_the_run_instead_of_hanging():
     assert not runner.is_alive() and not closer.is_alive()
     assert "error" in outcome
     assert "closed" in str(outcome["error"]) or "lost" in str(outcome["error"])
+
+
+def test_close_before_dispatch_thread_starts_does_not_join_it(monkeypatch):
+    """close() landing after a worker registered but before its dispatch
+    thread started must not try to join that unstarted thread."""
+    from repro.engine import distributed
+
+    executor = DistributedExecutor().start()
+    errors: list[Exception] = []
+    closed = threading.Event()
+
+    class CloseFirstThread(threading.Thread):
+        """Runs close() just before the racer's dispatch thread starts."""
+
+        def start(self):
+            if self.name == "repro-dist-racer":
+                try:
+                    executor.close()
+                except Exception as exc:
+                    errors.append(exc)
+                finally:
+                    closed.set()
+            super().start()
+
+    monkeypatch.setattr(distributed.threading, "Thread", CloseFirstThread)
+    sock = socket.create_connection(executor.address, timeout=5.0)
+    try:
+        send_frame(sock, {"type": "register", "protocol": PROTOCOL_VERSION,
+                          "worker": "racer", "model_version": repro.__version__})
+        assert recv_frame(sock)["type"] == "registered"
+        assert closed.wait(timeout=10)
+    finally:
+        sock.close()
+        executor.close()
+    assert errors == []
+    with pytest.raises(DistributedError, match="closed"):
+        executor.start()
 
 
 def test_fleet_failure_is_a_503_over_http_not_a_client_error():

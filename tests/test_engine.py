@@ -138,19 +138,6 @@ class TestCache:
         fresh = EvaluationCache(directory=directory)
         assert fresh.get(hostile).records == [{"scheme": "SC"}]
 
-    def test_flat_pr1_layout_is_migrated_into_shards(self, tmp_path):
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        key = "ab12cd34ef56ab12"
-        payload = {"schema": 1, "key": key, "records": [{"scheme": "SC", "x": 2.5}]}
-        (directory / f"{key}.json").write_text(json.dumps(payload), encoding="utf-8")
-
-        cache = EvaluationCache(directory=directory)
-        assert not (directory / f"{key}.json").exists()
-        assert (directory / "ab" / f"{key}.json").is_file()
-        assert cache.get(key).records == [{"scheme": "SC", "x": 2.5}]
-        assert cache.stats.disk_hits == 1
-
     def test_eviction_keeps_most_recently_used(self, tmp_path):
         cache = EvaluationCache(directory=tmp_path / "cache", max_disk_entries=2)
         for key in ("aaaa1111", "bbbb2222", "cccc3333"):
@@ -531,21 +518,6 @@ class TestNestedAxes:
         space = DesignSpace.grid({"noc.link_length": [1.0e-3, 2.0e-3]})
         configs = space.configs()
         assert [c.noc.link_length for c in configs] == [1.0e-3, 2.0e-3]
-
-    def test_flat_sweep_tables_unchanged_by_path_refactor(self):
-        """Flat-field sweeps must render byte-identically whether driven
-        through sweep_parameter or the engine grid (same points, same
-        order, same cache identity)."""
-        from repro import sweep_parameter
-
-        values = [0.2, 0.8]
-        legacy = sweep_parameter("static_probability", values,
-                                 scheme_names=SCHEMES)
-        legacy_series = legacy.series("SDPC", "total_power_mw")
-        results = Evaluator(scheme_names=SCHEMES).evaluate_grid(
-            {"static_probability": values})
-        engine_series = results.series("SDPC", "total_power_mw")
-        assert legacy_series == engine_series
 
 
 class TestStructuralMemoisation:

@@ -3,11 +3,12 @@
 ``tests/golden/leakage_parity.json`` holds the full ``compare_schemes``
 output (all registered schemes, every Table 1 column) captured from the
 pre-kernel implementation across three technology nodes, two static
-probabilities and two crossbar radixes.  The memoised kernel, the
-allocation-free accumulator and the per-scheme analysis memo must
-reproduce every number to 1e-12 relative tolerance — in practice the
-fast path is arithmetic-order-preserving enough to be bit-identical on
-most columns, but the committed contract is the tolerance.
+probabilities and two crossbar radixes, plus activity corners at 45 nm
+(p in {0.05, 0.77, 0.95} x t in {0.1, 0.9}) captured before the
+closed-form activity coefficients.  The memoised kernel, the
+allocation-free accumulator and each scheme's activity coefficients must
+reproduce every number to 1e-12 relative tolerance; the committed
+contract is the tolerance, not bit identity.
 
 The second half checks the fast path is actually *fast*: bias-point
 evaluations are shared across ports (a port-count sweep adds almost no
@@ -51,6 +52,8 @@ def _golden_cases():
 
 def _case_id(case):
     parts = [case["technology_node"], f"p{case['static_probability']}"]
+    if "toggle_activity" in case:
+        parts.append(f"t{case['toggle_activity']}")
     if "crossbar.port_count" in case:
         parts.append(f"ports{case['crossbar.port_count']}")
     return "-".join(parts)
@@ -61,8 +64,9 @@ def test_compare_schemes_matches_pre_kernel_golden(case):
     """Full comparison output matches the pre-refactor numbers at 1e-12."""
     overrides = {"technology_node": case["technology_node"],
                  "static_probability": case["static_probability"]}
-    if "crossbar.port_count" in case:
-        overrides["crossbar.port_count"] = case["crossbar.port_count"]
+    for key in ("toggle_activity", "crossbar.port_count"):
+        if key in case:
+            overrides[key] = case[key]
     config = paper_experiment().with_overrides(**overrides)
     live = compare_schemes(config).as_records()
 
@@ -163,7 +167,7 @@ def test_scheme_evaluator_exposes_kernel_stats():
     assert stats.lookups == stats.hits + stats.misses
     payload = stats.as_payload()
     assert set(payload) == {"hits", "misses", "hit_rate"}
-    # A second evaluation of the same scheme is memo-served end to end.
+    # A second evaluation of the same scheme evaluates no new bias point.
     before_misses = stats.misses
     evaluator.evaluate("SC")
     assert evaluator.kernel_stats().misses == before_misses

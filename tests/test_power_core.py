@@ -12,8 +12,8 @@ from repro.core import (
     SchemeEvaluator,
     compare_schemes,
     paper_experiment,
-    sweep_parameter,
 )
+from repro.engine import DesignSpace, Evaluator
 from repro.errors import ConfigurationError, PowerError, ReproError
 from repro.power import (
     analyse_dynamic,
@@ -217,8 +217,8 @@ class TestSchemeEvaluatorAndComparison:
 
 class TestDesignSpace:
     def test_temperature_sweep_changes_leakage_not_ordering(self):
-        result = sweep_parameter("temperature_celsius", [25.0, 110.0],
-                                 scheme_names=["SC", "SDPC"])
+        result = Evaluator(scheme_names=["SC", "SDPC"]).evaluate_grid(
+            {"temperature_celsius": [25.0, 110.0]})
         series = result.series("SDPC", "active_leakage_saving_percent")
         assert len(series) == 2
         for _, saving in series:
@@ -226,14 +226,15 @@ class TestDesignSpace:
 
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
-            sweep_parameter("oxide_thickness", [1, 2])
+            Evaluator().evaluate_grid({"oxide_thickness": [1, 2]})
 
     def test_sweep_rejects_empty_values(self):
         with pytest.raises(ConfigurationError):
-            sweep_parameter("corner", [])
+            DesignSpace.grid({"corner": []})
 
     def test_series_unknown_metric_rejected(self):
-        result = sweep_parameter("static_probability", [0.5], scheme_names=["SC", "DPC"])
+        result = Evaluator(scheme_names=["SC", "DPC"]).evaluate_grid(
+            {"static_probability": [0.5]})
         with pytest.raises(ConfigurationError):
             result.series("DPC", "bogus_metric")
 

@@ -390,6 +390,39 @@ def test_contract_violating_executor_fails_the_batch_loudly():
     assert not service._in_flight  # keys released: later queries re-evaluate
 
 
+def test_rejected_point_does_not_fail_its_batch():
+    """A model-rejected point batched with a valid miss fails alone: the
+    valid miss gets 200 and the rejected one its own 400."""
+
+    async def scenario():
+        executor = RecordingExecutor()
+        service = make_service(executor=executor, max_batch_size=2,
+                               flush_interval=30.0)
+        server = await EvaluationServer(service, port=0).start()
+        client = ServiceClient("127.0.0.1", server.port)
+        valid, rejected = await asyncio.gather(
+            client._request("POST", "/evaluate",
+                            {"overrides": {"static_probability": 0.35}}),
+            client._request("POST", "/evaluate",
+                            {"overrides": {"static_probability": 0.0}}),
+        )
+        await server.stop()
+        await service.stop()
+        return service, executor, valid, rejected
+
+    service, executor, (valid_status, valid), (rejected_status, rejected) = \
+        asyncio.run(scenario())
+    # Both misses shared one batch, which was then re-run point by point.
+    assert [len(batch) for batch in executor.batches] == [2, 1, 1]
+    assert valid_status == 200
+    assert {record["scheme"] for record in valid["records"]} == set(SCHEMES)
+    assert rejected_status == 400
+    assert rejected["error"] == "evaluation-failed"
+    assert "standby" in rejected["message"]
+    assert service.stats.evaluated == 1
+    assert not service._in_flight
+
+
 def test_executor_fault_is_a_500_over_http():
     """Server faults must not masquerade as client errors."""
 
