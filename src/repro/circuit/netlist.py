@@ -6,8 +6,8 @@ the structural analyses need:
 
 * the device inventory (instances, widths, polarities, Vt flavors,
   roles), which is what the Figure 1-3 reproduction benchmarks report;
-* net connectivity as a graph (via :mod:`networkx`), used for sanity
-  checks such as "every signal net has a path to a rail through channel
+* net connectivity through device channels, used for sanity checks
+  such as "every signal net has a path to a rail through channel
   terminals" and for counting the fan-in of the crossbar merge node;
 * aggregate statistics (total transistor width, device counts by flavor)
   that feed the area-overhead discussion.
@@ -15,10 +15,8 @@ the structural analyses need:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..errors import CircuitError
 from ..technology.transistor import Polarity, VtFlavor
@@ -112,25 +110,28 @@ class Netlist:
             raise CircuitError(f"net {net!r} is not declared in netlist {self.name!r}")
         return [device for device in self._devices.values() if net in device.terminals()]
 
-    def channel_graph(self) -> nx.Graph:
-        """Undirected graph of nets connected by device channels (drain-source).
-
-        Gate terminals do not create connectivity (a MOS gate is an open
-        circuit at DC), which makes this graph the right structure for
-        checking that every output net can actually be driven to a rail.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nets)
-        for device in self._devices.values():
-            graph.add_edge(device.drain, device.source, device=device.name)
-        return graph
-
     def net_is_drivable(self, net: str) -> bool:
-        """True if ``net`` has a channel path to Vdd or GND."""
-        graph = self.channel_graph()
-        if net not in graph:
+        """True if ``net`` has a channel path to Vdd or GND.
+
+        Only drain-source channels connect nets: a MOS gate is an open
+        circuit at DC, so it cannot drive the net it sits on.
+        """
+        if net not in self._nets:
             raise CircuitError(f"net {net!r} is not declared in netlist {self.name!r}")
-        return nx.has_path(graph, net, SUPPLY_NET) or nx.has_path(graph, net, GROUND_NET)
+        neighbours: defaultdict[str, set[str]] = defaultdict(set)
+        for device in self._devices.values():
+            neighbours[device.drain].add(device.source)
+            neighbours[device.source].add(device.drain)
+        seen = {net}
+        frontier = deque([net])
+        while frontier:
+            current = frontier.popleft()
+            if current in (SUPPLY_NET, GROUND_NET):
+                return True
+            fresh = neighbours[current] - seen
+            seen |= fresh
+            frontier.extend(fresh)
+        return False
 
     def fan_in(self, net: str) -> int:
         """Number of distinct devices whose drain or source touches ``net``."""

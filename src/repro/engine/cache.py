@@ -447,9 +447,12 @@ class EvaluationCache:
         entry = self._memory.get(key)
         if entry is not None:
             if self.max_memory_entries is not None:
-                # Keep recency accurate for the bounded memory layer.
-                self._memory.pop(key)
-                self._memory[key] = entry
+                # Keep recency accurate for the bounded memory layer.  A
+                # put from the service's batch thread may evict the key
+                # between the lookup above and this pop; the hit stands,
+                # and the evicted entry stays out so the bound holds.
+                if self._memory.pop(key, None) is not None:
+                    self._memory[key] = entry
             self.stats.hits += 1
             return entry
         if self.directory is not None:

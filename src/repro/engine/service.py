@@ -504,8 +504,9 @@ class EvaluationService:
             if isinstance(outcome, ReproError):
                 results.append(outcome)
                 continue
-            entry = CachedEntry(records=outcome.records,
-                                comparison=outcome.comparison)
+            # Records only: the service never reads the live comparison,
+            # which would triple each entry's memory.
+            entry = CachedEntry(records=outcome.records)
             try:
                 self.cache.put(point.key, entry)
             except Exception:

@@ -107,6 +107,25 @@ class TestCache:
         assert cache.stats.puts == 1
         assert cache.stats.hit_rate == 0.5
 
+    def test_hit_survives_eviction_racing_its_recency_update(self):
+        # A put from another thread can evict the key between get's
+        # lookup and its move to the recent end; the hit must still count.
+        cache = EvaluationCache(max_memory_entries=1)
+        entry = CachedEntry(records=[{"scheme": "SC"}])
+        cache.put("a", entry)
+
+        class EvictingOnLookup(dict):
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                cache.put("b", CachedEntry(records=[]))  # evicts "a"
+                return found
+
+        cache._memory = EvictingOnLookup(cache._memory)
+        assert cache.get("a") is entry
+        assert cache.stats.hits == 1
+        assert cache.stats.memory_evictions == 1
+        assert list(cache._memory) == ["b"]
+
     def test_disk_round_trip(self, tmp_path):
         directory = tmp_path / "cache"
         writer = EvaluationCache(directory=directory)
